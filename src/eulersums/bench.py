@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numeric import (
+    _ABSCISSA,
     AccelConfig,
     TermCounter,
+    _harmonic_chunks,
     counting_terms,
     u_num,
     v_num,
@@ -30,7 +32,6 @@ __all__ = ["BenchRow", "reference_value", "run_bench", "NAIVE_TERM_CAP"]
 NAIVE_TERM_CAP = 1_500_000_000
 
 _EVALUATORS = {"u": u_num, "v": v_num, "w": w_num}
-_ABSCISSA = {"u": 0.0, "v": 0.0, "w": 1.0}
 
 
 @dataclass(frozen=True)
@@ -50,16 +51,6 @@ def reference_value(function: str, s: float) -> complex:
     return _EVALUATORS[function](s, cfg).value
 
 
-def _naive_chunks(cap: int):
-    size = 4096
-    start = 1
-    while start <= cap:
-        stop = min(start + size - 1, cap)
-        yield start, stop
-        start = stop + 1
-        size = min(size * 2, 1_000_000)
-
-
 def run_naive(
     function: str, s: float, target: float, cap: int = NAIVE_TERM_CAP
 ) -> BenchRow:
@@ -68,22 +59,12 @@ def run_naive(
     ref = reference_value(function, s)
     t0 = time.perf_counter()
     total = 0.0
-    h_carry = 0.0
-    for start, stop in _naive_chunks(cap):
-        n = np.arange(start, stop + 1, dtype=float)
-        signs = np.where((np.arange(start, stop + 1) % 2) == 1, 1.0, -1.0)
-        if function == "u":
-            h = h_carry + np.cumsum(1.0 / n)
-            outer = signs
-        else:
-            h = h_carry + np.cumsum(signs / n)
-            outer = signs if function == "v" else 1.0
-        h_carry = float(h[-1])
-        total += float(np.sum(outer * h * n ** (-s)))
+    for n, weights in _harmonic_chunks(function, cap, size=4096):
+        total += float(np.sum(weights * n ** (-s)))
         err = abs(total - ref.real)
         if err <= target:
             return BenchRow(
-                "naive", function, s, stop, 0, err, time.perf_counter() - t0
+                "naive", function, s, int(n[-1]), 0, err, time.perf_counter() - t0
             )
     return BenchRow(
         "naive", function, s, cap, 0, abs(total - ref.real),

@@ -63,24 +63,21 @@ class ResidualReport:
     residual: float
 
 
-def _log_factor(x: float, method: str = "auto") -> float:
-    """log((1 - e^(-x))/x) for x > 0 without cancellation near 0."""
-    if method == "auto":
-        method = "series" if x < _SERIES_SWITCH else "log"
-    if method == "series":
-        # log((1-e^(-x))/x) = -x/2 + x^2/24 - x^4/2880 + x^6/181440 - ...
-        x2 = x * x
-        return x * (-0.5 + x / 24.0) - x2 * x2 / 2880.0 + x2 * x2 * x2 / 181440.0
-    return math.log(-math.expm1(-x) / x)
+def _log_factor_series(x: np.ndarray) -> np.ndarray:
+    # log((1-e^(-x))/x) = -x/2 + x^2/24 - x^4/2880 + x^6/181440 - ...
+    x2 = x * x
+    return x * (-0.5 + x / 24.0) - x2 * x2 / 2880.0 + x2 * x2 * x2 / 181440.0
+
+
+def _log_factor_direct(x: np.ndarray) -> np.ndarray:
+    return np.log(-np.expm1(-x) / x)
 
 
 def _log_factor_vec(x: np.ndarray) -> np.ndarray:
+    """log((1 - e^(-x))/x) for x > 0 without cancellation near 0."""
     small = x < _SERIES_SWITCH
-    x2 = x * x
-    series = x * (-0.5 + x / 24.0) - x2 * x2 / 2880.0 + x2 * x2 * x2 / 181440.0
-    safe = np.where(small, 1.0, x)
-    direct = np.log(-np.expm1(-safe) / safe)
-    return np.where(small, series, direct)
+    direct = _log_factor_direct(np.where(small, 1.0, x))
+    return np.where(small, _log_factor_series(x), direct)
 
 
 def _fermi_vec(x: np.ndarray) -> np.ndarray:
@@ -95,14 +92,11 @@ def g_integrand(s: complex | float, x: float) -> complex:
     if x <= 0:
         raise ValueError("x must be > 0")
     s = complex(s)
-    fermi = 1.0 / (math.exp(min(x, 700.0)) + 1.0) if x < 700.0 else math.exp(-x)
-    power = (
-        x ** (s.real - 1) if s.imag == 0 else np.exp((s - 1) * math.log(x))
-    )
-    return complex(power * fermi * _log_factor(x))
+    exponent = s.real if s.imag == 0 else s
+    return complex(_integrand_vec(exponent, np.array([float(x)]))[0])
 
 
-def _integrand_vec(s: float, x: np.ndarray) -> np.ndarray:
+def _integrand_vec(s: complex | float, x: np.ndarray) -> np.ndarray:
     return x ** (s - 1.0) * _fermi_vec(x) * _log_factor_vec(x)
 
 

@@ -11,18 +11,22 @@ expanded in Euler-polynomial values at 0,
     |R| <= (1/2) |(s)_{2q}|/(2q-1)! sup|E_{2q-1}| N^(1-sigma-2q)
            / (sigma + 2q - 1),
 
-with (s)_k = s(s+1)...(s+k-1) and sigma = Re s.  The same expansion with
-the remainder integral kept (a periodic-kernel integral against the
-auxiliary series phi) yields the analytic continuations of u, v; w uses
-the Euler-Maclaurin analogue with Bernoulli numbers.  Every evaluator
-returns a ``ValueWithError``; bounds are explicit tail majorants where
-available ("rigorous") and refinement differences otherwise ("heuristic").
+with (s)_k = s(s+1)...(s+k-1) and sigma = Re s.  Over a period,
+sup|Ebar_{2q-1}| = |E_{2q-1}(0)|: the Fourier series of an odd-index
+Euler polynomial is a cosine series that peaks at t = 0 (DLMF 24.8).
+The same expansion with the remainder integral kept (a periodic-kernel
+integral against the auxiliary series phi) yields the analytic
+continuations of u, v; w uses the Euler-Maclaurin analogue with
+Bernoulli numbers.  Every evaluator returns a ``ValueWithError``; bounds
+are explicit tail majorants where available ("rigorous") and refinement
+differences otherwise ("heuristic").
 """
 
 from __future__ import annotations
 
 import cmath
 import contextvars
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -90,10 +94,6 @@ class ValueWithError:
             raise NonConvergence("non-finite or negative error bound")
         if self.bound_kind not in (RIGOROUS, HEURISTIC):
             raise ValueError(f"unknown bound kind {self.bound_kind!r}")
-
-
-def _join_kinds(*kinds: str) -> str:
-    return RIGOROUS if all(k == RIGOROUS for k in kinds) else HEURISTIC
 
 
 @dataclass(frozen=True)
@@ -192,31 +192,20 @@ def harmonic_alt(n: int) -> Fraction:
 # --------------------------------------------------------------------------
 # Periodic polynomial kernels
 
-_euler_coeff_cache: dict[int, np.ndarray] = {}
-_bern_coeff_cache: dict[int, np.ndarray] = {}
-_sup_cache: dict[tuple[str, int], float] = {}
-
-
+@functools.cache
 def _euler_coeffs(q: int) -> np.ndarray:
-    arr = _euler_coeff_cache.get(q)
-    if arr is None:
-        arr = np.array(
-            [float(c) for c in euler_polynomial(q).coefficients], dtype=float
-        )
-        _euler_coeff_cache[q] = arr
-    return arr
+    return np.array(
+        [float(c) for c in euler_polynomial(q).coefficients], dtype=float
+    )
 
 
+@functools.cache
 def _bernoulli_poly_coeffs(k: int) -> np.ndarray:
     # B_k(x) = sum_j C(k, j) B_j x^(k-j); coefficient of x^i is C(k,i) B_{k-i}.
-    arr = _bern_coeff_cache.get(k)
-    if arr is None:
-        arr = np.array(
-            [float(math.comb(k, i) * bernoulli(k - i)) for i in range(k + 1)],
-            dtype=float,
-        )
-        _bern_coeff_cache[k] = arr
-    return arr
+    return np.array(
+        [float(math.comb(k, i) * bernoulli(k - i)) for i in range(k + 1)],
+        dtype=float,
+    )
 
 
 def euler_bar(q: int, t: float) -> float:
@@ -245,16 +234,20 @@ def _bern_bar_vec(k: int, t: np.ndarray) -> np.ndarray:
     return polyval(r, _bernoulli_poly_coeffs(k))
 
 
+@functools.cache
 def _kernel_sup(kind: str, order: int) -> float:
-    """Numeric sup of |kernel| over one period (fine grid, small padding)."""
-    key = (kind, order)
-    val = _sup_cache.get(key)
-    if val is None:
-        x = np.linspace(0.0, 1.0, 4001)
-        coeffs = _euler_coeffs(order) if kind == "euler" else _bernoulli_poly_coeffs(order)
-        val = float(np.max(np.abs(polyval(x, coeffs)))) * 1.0625
-        _sup_cache[key] = val
-    return val
+    """sup |kernel| over a period, from the Fourier series of the Euler
+    and Bernoulli polynomials (DLMF 24.8): |E_n(0)| for odd n, and
+    2 k! z/(2 pi)^k for odd k >= 3, with z = 1 + 2^-k + 2^(1-k)/(k-1)
+    >= zeta(k).  The Bernoulli bound is formed exactly, with the float
+    2 pi (below the true 2 pi); both are rounded up one ulp so the float
+    never falls below the exact sup."""
+    if kind == "euler":
+        sup = abs(float(euler_zero(order)))
+    else:
+        z = 1 + Fraction(1, 2**order) + Fraction(2, 2**order * (order - 1))
+        sup = float(2 * factorial(order) * z / Fraction(2 * math.pi) ** order)
+    return math.nextafter(sup, math.inf)
 
 
 # --------------------------------------------------------------------------
@@ -296,8 +289,6 @@ def _cpow(base: float, expo: complex) -> complex:
 
 def _boole_remainder_bound(s: complex, q: int, n_cut: int) -> float:
     sigma = s.real
-    if sigma + 2 * q <= 1:
-        return math.inf
     coeff = abs(_poch(s, 2 * q)) / factorial(2 * q - 1)
     sup = _kernel_sup("euler", 2 * q - 1)
     return 0.5 * coeff * sup * n_cut ** (1 - sigma - 2 * q) / (sigma + 2 * q - 1)
@@ -305,8 +296,6 @@ def _boole_remainder_bound(s: complex, q: int, n_cut: int) -> float:
 
 def _alternating_partial(s: complex, n_cut: int) -> tuple[complex, float]:
     """sum_{n=1}^{n_cut-1} (-1)^(n-1) n^(-s), plus the sum of |terms|."""
-    if n_cut <= 1:
-        return 0j, 0.0
     n = np.arange(1, n_cut, dtype=float)
     terms = np.exp(-complex(s) * np.log(n))
     signs = np.where((np.arange(1, n_cut) % 2) == 1, 1.0, -1.0)
@@ -314,15 +303,21 @@ def _alternating_partial(s: complex, n_cut: int) -> tuple[complex, float]:
     return complex(np.sum(signs * terms)), float(np.sum(np.abs(terms)))
 
 
+def _boole_coeffs(s: complex, q: int):
+    """Yield (m, (s)_{2m+1}/(2m+1)!, E_{2m+1}(0)) for m < q, skipping the
+    terms whose Pochhammer factor vanishes exactly."""
+    for m in range(q):
+        c = _poch(s, 2 * m + 1) / factorial(2 * m + 1)
+        if c != 0:
+            yield m, c, float(euler_zero(2 * m + 1))
+
+
 def _boole_tail(s: complex, q: int, n_cut: int) -> complex:
     """T(N, s) = sum_{k>=0} (-1)^k (N+k)^(-s), by the Euler-polynomial
     expansion (remainder dropped; bound it separately)."""
     tail = 0.5 * _cpow(n_cut, s)
-    for m in range(q):
-        c = _poch(s, 2 * m + 1) / factorial(2 * m + 1)
-        if c == 0:
-            continue
-        tail -= 0.5 * c * float(euler_zero(2 * m + 1)) * _cpow(n_cut, s + 2 * m + 1)
+    for m, c, e_val in _boole_coeffs(s, q):
+        tail -= 0.5 * c * e_val * _cpow(n_cut, s + 2 * m + 1)
     _tick(series=q)
     return tail
 
@@ -396,22 +391,17 @@ def eta_prime_num(s: complex | float, cfg: AccelConfig = DEFAULT_CONFIG) -> Valu
             f"eta' tail bound stuck at {rem:.3g} at the series cutoff (s={s})"
         )
     # partial: sum_{n=2}^{N-1} (-1)^n log(n) n^(-s)
-    if n_cut > 2:
-        n = np.arange(2, n_cut, dtype=float)
-        logs = np.log(n)
-        terms = logs * np.exp(-s * logs)
-        signs = np.where((np.arange(2, n_cut) % 2) == 0, 1.0, -1.0)
-        partial = complex(np.sum(signs * terms))
-        absmag = float(np.sum(np.abs(terms)))
-        _tick(series=n_cut - 2)
-    else:
-        partial, absmag = 0j, 0.0
+    n = np.arange(2, n_cut, dtype=float)
+    logs = np.log(n)
+    terms = logs * np.exp(-s * logs)
+    signs = np.where((np.arange(2, n_cut) % 2) == 0, 1.0, -1.0)
+    partial = complex(np.sum(signs * terms))
+    absmag = float(np.sum(np.abs(terms)))
+    _tick(series=n_cut - 2)
     logn = math.log(n_cut)
     tail = -0.5 * logn * _cpow(n_cut, s)
-    for m in range(q):
-        c = _poch(s, 2 * m + 1) / factorial(2 * m + 1)
+    for m, c, e_val in _boole_coeffs(s, q):
         cp = c * sum(1.0 / (s + j) for j in range(2 * m + 1))
-        e_val = float(euler_zero(2 * m + 1))
         tail -= 0.5 * e_val * (cp - c * logn) * _cpow(n_cut, s + 2 * m + 1)
     sign = 1.0 if n_cut % 2 == 1 else -1.0
     value = partial + sign * tail
@@ -423,24 +413,35 @@ def eta_prime_num(s: complex | float, cfg: AccelConfig = DEFAULT_CONFIG) -> Valu
 # gamma and digamma (Stirling series after upward shifts, reflection below)
 
 _STIRLING_SHIFT = 12.0
-_LGAMMA_COEFFS = None
-_DIGAMMA_COEFFS = None
 
 
+@functools.cache
 def _stirling_tables() -> tuple[list[float], list[float]]:
-    global _LGAMMA_COEFFS, _DIGAMMA_COEFFS
-    if _LGAMMA_COEFFS is None:
-        _LGAMMA_COEFFS = [
-            float(bernoulli(2 * k) / ((2 * k) * (2 * k - 1))) for k in range(1, 11)
-        ]
-        _DIGAMMA_COEFFS = [float(bernoulli(2 * k) / (2 * k)) for k in range(1, 10)]
-    return _LGAMMA_COEFFS, _DIGAMMA_COEFFS
+    lgamma_coeffs = [
+        float(bernoulli(2 * k) / ((2 * k) * (2 * k - 1))) for k in range(1, 11)
+    ]
+    digamma_coeffs = [float(bernoulli(2 * k) / (2 * k)) for k in range(1, 10)]
+    return lgamma_coeffs, digamma_coeffs
 
 
 def _guard_gamma_pole(s: complex, cfg: AccelConfig, what: str) -> None:
     k = _is_int(s, eps=max(cfg.tol, 1e-12))
     if k is not None and k <= 0:
         raise PoleProximity(f"{what} has a pole at s={k}")
+
+
+def _asymptotic_sum(
+    coeffs: list[float], power: complex, step: complex
+) -> tuple[complex, float]:
+    """sum_j coeffs[j] * power * step^j, and the size of its last term."""
+    series = 0j
+    last = 0.0
+    for c in coeffs:
+        term = c * power
+        series += term
+        last = abs(term)
+        power *= step
+    return series, last
 
 
 def _lgamma_core(z: complex) -> tuple[complex, float]:
@@ -451,15 +452,7 @@ def _lgamma_core(z: complex) -> tuple[complex, float]:
         acc -= cmath.log(z)
         z += 1
     zi = 1.0 / z
-    z2 = zi * zi
-    series = 0j
-    power = zi
-    last = 0.0
-    for c in lg_coeffs:
-        term = c * power
-        series += term
-        last = abs(term)
-        power *= z2
+    series, last = _asymptotic_sum(lg_coeffs, zi, zi * zi)
     val = (z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2 * math.pi) + series + acc
     rel = last / max(abs(val), 1.0) + 5e-16
     return val, rel
@@ -494,15 +487,7 @@ def digamma_num(s: complex | float, cfg: AccelConfig = DEFAULT_CONFIG) -> ValueW
         acc -= 1.0 / z
         z += 1
     zi = 1.0 / z
-    z2 = zi * zi
-    series = 0j
-    power = z2
-    last = 0.0
-    for c in dg_coeffs:
-        term = c * power
-        series += term
-        last = abs(term)
-        power *= z2
+    series, last = _asymptotic_sum(dg_coeffs, zi * zi, zi * zi)
     val = cmath.log(z) - 0.5 * zi - series + acc
     if reflect:
         val = val - math.pi / cmath.tan(math.pi * s)
@@ -539,7 +524,6 @@ def _phi_grid(sign: int, s: complex, ts: np.ndarray, n_cut: int) -> np.ndarray:
 
 
 def _phi_scalar(sign: int, s: complex, t: float, cfg: AccelConfig) -> ValueWithError:
-    s = complex(s)
     sigma = s.real
     if sigma <= 0:
         raise UnsupportedRegion("phi series need Re s > 0")
@@ -572,16 +556,10 @@ def phi_plus(s: complex | float, t: float, cfg: AccelConfig = DEFAULT_CONFIG) ->
 # --------------------------------------------------------------------------
 # Remainder integrals: periodic kernel times phi, period by period
 
-_leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _unit_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _leggauss_cache.get(count)
-    if cached is None:
-        x, w = leggauss(count)
-        cached = ((x + 1.0) / 2.0, w / 2.0)
-        _leggauss_cache[count] = cached
-    return cached
+    x, w = leggauss(count)
+    return (x + 1.0) / 2.0, w / 2.0
 
 
 def _phi_abs_tail_integral(sup: float, sigma: float, t0: float) -> float:
@@ -622,7 +600,6 @@ def _kernel_integral(
     total = 0j
     err_phi = 0.0
     absacc = 0.0
-    tail_bound = math.inf
     for period in range(cfg.period_cap):
         for half in range(units_per_period):
             j = period * units_per_period + half
@@ -638,16 +615,14 @@ def _kernel_integral(
             absacc += float(np.sum(np.abs(wk * phi_vals)))
             err_phi += float(np.sum(np.abs(wk))) * phi_bound
         t_done = (period + 1) * units_per_period
-        if t_done >= 2:
-            tail_bound = _phi_abs_tail_integral(sup, sigma, float(t_done))
-            if tail_bound <= tol_local and period >= 1:
-                break
+        tail_bound = _phi_abs_tail_integral(sup, sigma, float(t_done))
+        if tail_bound <= tol_local and period >= 1:
+            break
     else:
-        if tail_bound > tol_local:
-            raise NonConvergence(
-                f"kernel integral tail {tail_bound:.3g} above target after "
-                f"{cfg.period_cap} periods"
-            )
+        raise NonConvergence(
+            f"kernel integral tail {tail_bound:.3g} above target after "
+            f"{cfg.period_cap} periods"
+        )
     err = err_phi + tail_bound + 1e-14 * absacc
     return total, err
 
@@ -676,6 +651,62 @@ def _zeta_at(z: complex, cfg: AccelConfig) -> ValueWithError:
 # --------------------------------------------------------------------------
 # The three analytic continuations
 
+def _tail_eval(
+    terms: list[tuple[complex, complex]],
+    fetch,
+    cfg: AccelConfig,
+    c_rem: complex,
+    kernel: str,
+    order: int,
+    phi_sign: int,
+    s_shift: complex,
+) -> tuple[complex, float, str]:
+    """sum c * fetch(arg) over the (c, arg) terms, plus c_rem times the
+    kernel-times-phi remainder integral at s_shift.
+
+    The terms come first, so the eta/zeta tolerance budget can be split by
+    total coefficient mass and the final bound lands under cfg.tol.
+    Returns (value, error bound, bound kind)."""
+    mass = sum(abs(c) for c, _ in terms)
+    inner = replace(cfg, q=None, tol=cfg.tol / (3.0 * mass))
+    value = 0j
+    err = 0.0
+    magacc = 0.0
+    kinds = []
+    for c, arg in terms:
+        term = fetch(arg, inner)
+        value += c * term.value
+        err += abs(c) * term.error_bound
+        magacc += abs(c * term.value)
+        kinds.append(term.bound_kind)
+    if c_rem != 0:
+        tol_local = cfg.tol / (10.0 * max(1.0, abs(c_rem)))
+        integral, ierr = _kernel_integral(
+            s_shift, inner, kernel, order, phi_sign, tol_local
+        )
+        value += c_rem * integral
+        err += abs(c_rem) * ierr
+        magacc += abs(c_rem * integral)
+        kinds.append(HEURISTIC)
+    # the representation's terms can be large before they cancel; charge
+    # the rounding cost of that cancellation to the bound
+    err += 4e-16 * magacc
+    kind = RIGOROUS if all(k == RIGOROUS for k in kinds) else HEURISTIC
+    return value, err, kind
+
+
+def _uv_num(s: complex, cfg: AccelConfig, fetch, phi_sign: int) -> ValueWithError:
+    q = cfg.resolve_q(s)
+    terms = [(complex(1.0), s + 1)] + [
+        (-c * e_val, s + 2 * m + 2) for m, c, e_val in _boole_coeffs(s, q)
+    ]
+    value, err, kind = _tail_eval(
+        terms, fetch, cfg, _poch(s, 2 * q) / factorial(2 * q - 1),
+        "euler", 2 * q - 1, phi_sign, s + 2 * q,
+    )
+    return ValueWithError(value / 2, err / 2, kind)
+
+
 def u_num(s: complex | float, cfg: AccelConfig = DEFAULT_CONFIG) -> ValueWithError:
     """u(s) through the alternating tail representation
 
@@ -686,7 +717,7 @@ def u_num(s: complex | float, cfg: AccelConfig = DEFAULT_CONFIG) -> ValueWithErr
 
     Entire in s; at non-positive integers the integral coefficient
     vanishes identically and the finite eta combination is exact."""
-    return _uv_eval(complex(s), cfg, use_zeta=False)
+    return _uv_num(complex(s), cfg, _eta_at, -1)
 
 
 def v_num(s: complex | float, cfg: AccelConfig = DEFAULT_CONFIG) -> ValueWithError:
@@ -700,47 +731,7 @@ def v_num(s: complex | float, cfg: AccelConfig = DEFAULT_CONFIG) -> ValueWithErr
     k = _is_int(s, eps=guard)
     if k is not None and k < 0 and k % 2 != 0 and abs(s - k) < guard:
         raise PoleProximity(f"v has a simple pole at s={k}")
-    return _uv_eval(s, cfg, use_zeta=True)
-
-
-def _uv_eval(s: complex, cfg: AccelConfig, use_zeta: bool) -> ValueWithError:
-    q = cfg.resolve_q(s)
-    fetch = _zeta_at if use_zeta else _eta_at
-    # coefficients first, so the eta/zeta tolerance budget can be split by
-    # total coefficient mass and the final bound lands under cfg.tol
-    coeffs: list[tuple[complex, complex]] = [(complex(1.0), s + 1)]
-    for m in range(q):
-        c = _poch(s, 2 * m + 1) / factorial(2 * m + 1)
-        if c == 0:
-            continue
-        coeffs.append((-c * float(euler_zero(2 * m + 1)), s + 2 * m + 2))
-    mass = sum(abs(c) for c, _ in coeffs)
-    inner = replace(cfg, q=None, tol=cfg.tol / (3.0 * mass))
-    value = 0j
-    err = 0.0
-    magacc = 0.0
-    kinds = []
-    for c, arg in coeffs:
-        term = fetch(arg, inner)
-        value += c * term.value
-        err += abs(c) * term.error_bound
-        magacc += abs(c * term.value)
-        kinds.append(term.bound_kind)
-    c_rem = _poch(s, 2 * q) / factorial(2 * q - 1)
-    if c_rem != 0:
-        tol_local = cfg.tol / (10.0 * max(1.0, abs(c_rem)))
-        integral, ierr = _kernel_integral(
-            s + 2 * q, inner, "euler", 2 * q - 1,
-            phi_sign=(+1 if use_zeta else -1), tol_local=tol_local,
-        )
-        value += c_rem * integral
-        err += abs(c_rem) * ierr
-        magacc += abs(c_rem * integral)
-        kinds.append(HEURISTIC)
-    # the representation's terms can be large before they cancel; charge
-    # the rounding cost of that cancellation to the bound
-    err += 4e-16 * magacc
-    return ValueWithError(value / 2, err / 2, _join_kinds(*kinds))
+    return _uv_num(s, cfg, _zeta_at, +1)
 
 
 def w_num(s: complex | float, cfg: AccelConfig = DEFAULT_CONFIG) -> ValueWithError:
@@ -751,66 +742,46 @@ def w_num(s: complex | float, cfg: AccelConfig = DEFAULT_CONFIG) -> ValueWithErr
              - (s)_{2q+1}/(2q+1)! integral_0^inf Bbar_{2q+1}(t)
                                                  phi^-(s+2q+1, t) dt.
 
-    Simple pole at s = 1 (tol-radius exclusion disk)."""
+    The remainder is bounded with sup|Bbar_k| <= 2 k! zeta(k)/(2 pi)^k,
+    k = 2q+1 (Fourier series, DLMF 24.8), taking 1 + 2^-k + 2^(1-k)/(k-1)
+    for zeta(k).  Simple pole at s = 1 (tol-radius exclusion disk)."""
     s = complex(s)
     if abs(s - 1) < max(cfg.tol, 1e-14):
         raise PoleProximity("w has a simple pole at s=1")
     q = cfg.resolve_q(s)
-    coeffs: list[tuple[complex, complex]] = [
+    terms: list[tuple[complex, complex]] = [
         (1.0 / (s - 1), s),
         (complex(0.5), s + 1),
     ]
     for m in range(1, q + 1):
         c = _poch(s, 2 * m - 1) * float(bernoulli(2 * m)) / factorial(2 * m)
-        if c == 0:
-            continue
-        coeffs.append((c, s + 2 * m))
-    mass = sum(abs(c) for c, _ in coeffs)
-    inner = replace(cfg, q=None, tol=cfg.tol / (3.0 * mass))
-    value = 0j
-    err = 0.0
-    magacc = 0.0
-    kinds = []
-    for c, arg in coeffs:
-        term = _eta_at(arg, inner)
-        value += c * term.value
-        err += abs(c) * term.error_bound
-        magacc += abs(c * term.value)
-        kinds.append(term.bound_kind)
-    c_rem = _poch(s, 2 * q + 1) / factorial(2 * q + 1)
-    if c_rem != 0:
-        tol_local = cfg.tol / (10.0 * max(1.0, abs(c_rem)))
-        integral, ierr = _kernel_integral(
-            s + 2 * q + 1, inner, "bernoulli", 2 * q + 1,
-            phi_sign=-1, tol_local=tol_local,
-        )
-        value -= c_rem * integral
-        err += abs(c_rem) * ierr
-        magacc += abs(c_rem * integral)
-        kinds.append(HEURISTIC)
-    err += 4e-16 * magacc
-    return ValueWithError(value, err, _join_kinds(*kinds))
+        if c != 0:
+            terms.append((c, s + 2 * m))
+    value, err, kind = _tail_eval(
+        terms, _eta_at, cfg, -(_poch(s, 2 * q + 1) / factorial(2 * q + 1)),
+        "bernoulli", 2 * q + 1, -1, s + 2 * q + 1,
+    )
+    return ValueWithError(value, err, kind)
 
 
 # --------------------------------------------------------------------------
 # Direct partial-sum oracles
 
 _CHUNK = 1_000_000
+# abscissa of convergence of each series' defining sum
+_ABSCISSA = {"u": 0.0, "v": 0.0, "w": 1.0}
 
 
-def _direct_sum(s: complex, n_max: int, coeff: str) -> tuple[complex, complex, float]:
-    """Partial sum to n_max of the requested series, the magnitude-sum for
-    rounding estimates, and the (n_max+1)-th term.  coeff selects the
-    harmonic weight and the outer sign pattern:
-      "u": (-1)^(n-1) H_n n^-s   "v": (-1)^(n-1) H_n^- n^-s   "w": H_n^- n^-s
-    """
-    real_s = abs(s.imag) == 0.0
-    total = 0j
-    absacc = 0.0
+def _harmonic_chunks(coeff: str, n_max: int, size: int = _CHUNK):
+    """Walk the series selected by coeff over n = 1..n_max in chunks,
+    yielding (n, weights) where weights is the outer sign times the
+    harmonic weight:
+      "u": (-1)^(n-1) H_n   "v": (-1)^(n-1) H_n^-   "w": H_n^-
+    Chunks start at size terms and double up to _CHUNK."""
     h_carry = 0.0
     start = 1
-    while start <= n_max + 1:
-        stop = min(start + _CHUNK - 1, n_max + 1)
+    while start <= n_max:
+        stop = min(start + size - 1, n_max)
         n = np.arange(start, stop + 1, dtype=float)
         signs = np.where((np.arange(start, stop + 1) % 2) == 1, 1.0, -1.0)
         if coeff == "u":
@@ -820,19 +791,35 @@ def _direct_sum(s: complex, n_max: int, coeff: str) -> tuple[complex, complex, f
             h = h_carry + np.cumsum(signs / n)
             outer = signs if coeff == "v" else 1.0
         h_carry = float(h[-1])
+        yield n, outer * h
+        start = stop + 1
+        size = min(2 * size, _CHUNK)
+
+
+def _direct_sum(s: complex, n_max: int, coeff: str) -> tuple[complex, complex, float]:
+    """Partial sum to n_max of the series coeff selects (see
+    _harmonic_chunks), the magnitude-sum for rounding estimates, and the
+    (n_max+1)-th term."""
+    if s.real <= _ABSCISSA[coeff] + 1e-9:
+        raise NonConvergence(
+            f"direct {coeff} series needs Re s > {_ABSCISSA[coeff]:g}"
+        )
+    real_s = abs(s.imag) == 0.0
+    total = 0j
+    absacc = 0.0
+    for n, weights in _harmonic_chunks(coeff, n_max + 1):
         if real_s:
             powers = n ** (-s.real)
         else:
             powers = np.exp(-s * np.log(n))
-        terms = outer * h * powers
+        terms = weights * powers
         # the final term (index n_max+1) is reported, not accumulated
-        if stop == n_max + 1:
+        if n[-1] == n_max + 1:
             last_term = complex(terms[-1])
             terms = terms[:-1]
         total += complex(np.sum(terms))
         absacc += float(np.sum(np.abs(terms)))
-        _tick(series=stop - start + 1)
-        start = stop + 1
+        _tick(series=n.size)
     return total, last_term, absacc
 
 
@@ -842,8 +829,6 @@ def direct_u(s: complex | float, cfg: AccelConfig = DEFAULT_CONFIG) -> ValueWith
     bound, for complex s the paired-difference majorant."""
     s = complex(s)
     sigma = s.real
-    if sigma <= 1e-9:
-        raise NonConvergence("direct u series needs Re s > 0")
     n_max = cfg.series_cutoff
     total, last, absacc = _direct_sum(s, n_max, "u")
     slop = 4e-16 * absacc
@@ -870,8 +855,6 @@ def direct_v(s: complex | float, cfg: AccelConfig = DEFAULT_CONFIG) -> ValueWith
     the reported bound says so honestly."""
     s = complex(s)
     sigma = s.real
-    if sigma <= 1e-9:
-        raise NonConvergence("direct v series needs Re s > 0")
     n_max = cfg.series_cutoff
     total, last, absacc = _direct_sum(s, n_max, "v")
     ln2 = math.log(2.0)
@@ -885,8 +868,6 @@ def direct_w(s: complex | float, cfg: AccelConfig = DEFAULT_CONFIG) -> ValueWith
     comparison tail bound (H_n^- <= 1)."""
     s = complex(s)
     sigma = s.real
-    if sigma <= 1 + 1e-9:
-        raise NonConvergence("direct w series needs Re s > 1")
     n_max = cfg.series_cutoff
     total, _, absacc = _direct_sum(s, n_max, "w")
     bound = n_max ** (1 - sigma) / (sigma - 1) + 4e-16 * absacc

@@ -19,6 +19,9 @@ from eulersums.errors import (
 from eulersums.numeric import (
     AccelConfig,
     ValueWithError,
+    _bern_bar_vec,
+    _euler_bar_vec,
+    _kernel_sup,
     bernoulli_bar,
     digamma_num,
     direct_u,
@@ -223,6 +226,17 @@ class TestKernels:
         assert bernoulli_bar(k, t + 1) == pytest.approx(
             bernoulli_bar(k, t), abs=1e-9
         )
+
+    def test_kernel_sups_bound_the_kernels(self):
+        # the Euler sup is attained at t = 0; the Bernoulli one is an
+        # upper bound from the Fourier series
+        grid = np.linspace(0.0, 2.0, 8001)
+        for n in range(1, 42, 2):
+            scanned = float(np.max(np.abs(_euler_bar_vec(n, grid))))
+            assert _kernel_sup("euler", n) == pytest.approx(scanned, rel=1e-12)
+        for k in range(5, 42, 2):
+            scanned = float(np.max(np.abs(_bern_bar_vec(k, grid))))
+            assert _kernel_sup("bernoulli", k) >= scanned
 
 
 class TestContinuation:
